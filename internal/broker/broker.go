@@ -20,6 +20,20 @@
 // Header copy with Dst narrowed to that receiver, so concurrent workhorse
 // threads never alias mutable header state.
 //
+// # Body ownership
+//
+// A rollout body is copied once in user space on its way from explorer to
+// learner: Port.Send marshals it straight into the framed byte slice that
+// becomes the store body. From then on nobody writes to those bytes. The
+// forwarder hands the store body to Remote.Forward, which must not retain or
+// modify it past the call; the receiving transport gives InjectRemote a
+// buffer of its own, which the store adopts without copying; materialize
+// decodes the store body in place, so a decoded rollout's observation frames
+// are views into it (see serialize.Unmarshal). Because store bodies are
+// immutable after Put and the garbage collector keeps a body alive while
+// any view of it is reachable, a view stays valid after the reference that
+// produced it is released.
+//
 // # Channel health
 //
 // Every broker keeps an always-on health ledger — traffic counters, drop
@@ -36,6 +50,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xingtian/internal/message"
@@ -89,6 +104,39 @@ type Broker struct {
 	wg         sync.WaitGroup
 	routerDone chan struct{}
 	stopped    bool
+	// calls tracks the Port and InjectRemote calls that can hold a store
+	// reference no queue accounts for, so Stop audits only after they end.
+	calls callGate
+}
+
+// callGate counts in-flight calls that may hold an object-store reference
+// outside every broker queue: a Send between admission and publishing, an
+// InjectRemote, a Recv from its pop to its release.
+type callGate struct {
+	active atomic.Int64
+	closed atomic.Bool
+}
+
+// enter admits a call, or reports false once the gate is closed. An
+// admitted call must exit.
+func (g *callGate) enter() bool {
+	g.active.Add(1)
+	if g.closed.Load() {
+		g.active.Add(-1)
+		return false
+	}
+	return true
+}
+
+func (g *callGate) exit() { g.active.Add(-1) }
+
+// closeAndWait refuses new calls and waits out the admitted ones. Every
+// admitted call finishes on its own once the broker's queues are closed.
+func (g *callGate) closeAndWait() {
+	g.closed.Store(true)
+	for g.active.Load() > 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 // forwardItem is one cross-machine transfer awaiting its ordered turn on
@@ -478,8 +526,10 @@ func (b *Broker) forwarder(machine int) *queue.Queue[forwardItem] {
 // dispatched to local ID queues, one private Header copy per receiver. When
 // the header still names destinations on other machines and carries relay
 // budget (tree-routed broadcasts), this broker forwards the frame onward,
-// acting as an interior node of the broadcast tree. It implements the
-// receiving half of Remote.Forward.
+// acting as an interior node of the broadcast tree. InjectRemote takes
+// ownership of framed without copying it: the caller must never modify or
+// reuse those bytes afterwards, whether or not the body was admitted. It
+// implements the receiving half of Remote.Forward.
 func (b *Broker) InjectRemote(h *message.Header, framed []byte) error {
 	if h.Type == message.TypeRollout {
 		b.noteAck(h.Src, h.WeightsVersion)
@@ -502,18 +552,22 @@ func (b *Broker) InjectRemote(h *message.Header, framed []byte) error {
 	if refs == 0 {
 		return nil
 	}
-	body := append([]byte(nil), framed...) // own the bytes on this machine
-	id, err := b.admit(h.Type, body, refs)
+	if !b.calls.enter() {
+		b.health.dropQueueClosed.Add(int64(refs))
+		return nil
+	}
+	defer b.calls.exit()
+	id, err := b.admit(h.Type, framed, refs)
 	if err != nil {
 		// Budget refusal: the trajectory is shed at this machine's door, one
 		// declined destination reference per local receiver. No store
 		// reference was created, so there is nothing to release.
 		b.health.dropStoreBudget.Add(int64(refs))
-		b.health.shedBytes.Add(int64(len(body)))
+		b.health.shedBytes.Add(int64(len(framed)))
 		return nil
 	}
 	b.health.bodiesInjected.Add(1)
-	b.health.bytesInjected.Add(int64(len(body)))
+	b.health.bytesInjected.Add(int64(len(framed)))
 	for _, name := range local {
 		q := b.idQueue(name)
 		if q == nil {
@@ -547,13 +601,13 @@ func (b *Broker) InjectRemote(h *message.Header, framed []byte) error {
 		if h.Type.Droppable() {
 			b.shedOldestForward(fq)
 		}
-		if fq.Put(forwardItem{header: &nh, framed: body, objID: id}) != nil {
+		if fq.Put(forwardItem{header: &nh, framed: framed, objID: id}) != nil {
 			b.health.dropQueueClosed.Add(1)
 			b.release(id)
 			continue
 		}
 		b.health.bodiesRelayed.Add(1)
-		b.health.bytesRelayed.Add(int64(len(body)))
+		b.health.bytesRelayed.Add(int64(len(framed)))
 	}
 	return nil
 }
@@ -645,8 +699,10 @@ func (b *Broker) drainIDQueue(q *queue.Queue[*message.Header]) {
 
 // Stop shuts the router down, closes all client queues, reclaims the
 // references of undelivered headers, and records any remaining live object
-// (a refcount leak) in the health ledger. It is idempotent and waits for
-// in-flight forwards to finish.
+// (a refcount leak) in the health ledger. It is idempotent. It waits for
+// in-flight forwards, and for Send, Recv and InjectRemote calls already
+// inside the broker, to finish before that audit; calls that arrive later
+// fail with queue.ErrClosed (InjectRemote counts them as queue-closed drops).
 func (b *Broker) Stop() {
 	b.mu.Lock()
 	if b.stopped {
@@ -674,6 +730,12 @@ func (b *Broker) Stop() {
 	b.wg.Wait()
 	for _, q := range queues {
 		q.Close()
+	}
+	// Closed queues unblock every waiting Recv. Once the calls already
+	// inside the broker have released what they hold, anything still live
+	// after the drain is a leak, not a reference a receiver is about to drop.
+	b.calls.closeAndWait()
+	for _, q := range queues {
 		b.drainIDQueue(q)
 	}
 	b.health.leakedAtStop.Store(int64(b.store.Len()))
@@ -697,17 +759,14 @@ func (p *Port) Name() string { return p.name }
 // publishes the header to the router. It returns once the message has been
 // handed to the asynchronous channel — not once it is delivered.
 //
-// The marshal buffer is pooled: Pack copies the raw encoding into the framed
-// body that the object store owns, so the pooled buffer is freed as soon as
-// framing is done and the steady-state send path allocates only the framed
-// body.
+// The body is marshalled directly into the framed slice the object store
+// adopts (serialize.Compressor.Frame): that marshal is the only user-space
+// copy a local delivery makes, and the store body is never written again.
 func (p *Port) Send(m *message.Message) error {
-	raw, err := serialize.MarshalPooled(m.Body)
+	framed, compressed, err := p.broker.compressor.Frame(m.Body)
 	if err != nil {
 		return fmt.Errorf("broker send from %s: %w", p.name, err)
 	}
-	framed, compressed := p.broker.compressor.Pack(raw)
-	serialize.FreeBuf(raw)
 
 	// The split here is advisory — a reachability check and drop-accounting
 	// weight only. The router recomputes it and owns the refcount ledger
@@ -718,6 +777,11 @@ func (p *Port) Send(m *message.Message) error {
 	if refs == 0 {
 		return nil // no reachable destination; drop silently like a router
 	}
+	if !p.broker.calls.enter() {
+		p.broker.health.dropQueueClosed.Add(int64(refs))
+		return fmt.Errorf("broker send from %s: %w", p.name, queue.ErrClosed)
+	}
+	defer p.broker.calls.exit()
 	h := m.Header
 	id, err := p.broker.admit(h.Type, framed, 1)
 	if err != nil {
@@ -769,6 +833,10 @@ func (p *Port) ConsumedAcks() map[string]uint64 { return p.broker.ConsumedAcks()
 // Recv blocks until a message addressed to this client arrives, fetches the
 // body from the object store (releasing the reference), and decodes it.
 func (p *Port) Recv() (*message.Message, error) {
+	if !p.broker.calls.enter() {
+		return nil, queue.ErrClosed
+	}
+	defer p.broker.calls.exit()
 	h, err := p.idQueue.Get()
 	if err != nil {
 		return nil, err
@@ -778,6 +846,10 @@ func (p *Port) Recv() (*message.Message, error) {
 
 // TryRecv is the non-blocking variant of Recv.
 func (p *Port) TryRecv() (*message.Message, error) {
+	if !p.broker.calls.enter() {
+		return nil, queue.ErrClosed
+	}
+	defer p.broker.calls.exit()
 	h, err := p.idQueue.TryGet()
 	if err != nil {
 		return nil, err
@@ -788,7 +860,9 @@ func (p *Port) TryRecv() (*message.Message, error) {
 // materialize fetches, decompresses, and decodes a delivered header's body.
 // Once the header has been popped from the ID queue this receiver owns the
 // object-store reference, so it is released on every path — including
-// corrupt bodies that fail to unpack or unmarshal.
+// corrupt bodies that fail to unpack or unmarshal. An uncompressed body is
+// decoded in place: the returned rollout's frames alias the store body and
+// stay valid after the release (see Body ownership in the package doc).
 func (p *Port) materialize(h *message.Header) (*message.Message, error) {
 	framed, err := p.broker.store.Get(h.ObjectID)
 	if err != nil {

@@ -113,7 +113,9 @@ func (c *Cluster) Locate(name string) (int, bool) {
 
 // Forward implements Remote: it charges the simulated wire time for the
 // framed body plus header overhead, then injects the message into the
-// destination broker.
+// destination broker. framed is the source broker's store body, so the
+// simulated wire ends in a private copy for InjectRemote to adopt — the
+// copy a socket read makes on a real fabric.
 func (c *Cluster) Forward(srcMachine, dstMachine int, h *message.Header, framed []byte) error {
 	c.mu.Lock()
 	dst, ok := c.brokers[dstMachine]
@@ -123,7 +125,7 @@ func (c *Cluster) Forward(srcMachine, dstMachine int, h *message.Header, framed 
 	}
 	const headerOverhead = 64
 	c.net.Transfer(srcMachine, dstMachine, len(framed)+headerOverhead)
-	return dst.InjectRemote(h, framed)
+	return dst.InjectRemote(h, append([]byte(nil), framed...))
 }
 
 // Network exposes the simulated network for byte accounting in experiments.

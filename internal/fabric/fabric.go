@@ -818,11 +818,11 @@ func (n *Node) installReconnected(p *peerConn, conn net.Conn) bool {
 }
 
 // readLoop decodes inbound frames and injects them into the local broker.
-// The frame payload lives in a pooled buffer: InjectRemote copies the body
-// into this machine's object store and gob decoding copies the header
-// fields, so the buffer goes back to the pool at the end of each iteration.
-// For dialed connections (p != nil) a read failure reports the lost conn to
-// the reconnect state machine.
+// Each frame is read into a freshly allocated buffer, never a pooled one:
+// InjectRemote adopts the body as this machine's store body without copying
+// it, so the buffer must never be reused. Gob decoding copies the header
+// fields out. For dialed connections (p != nil) a read failure reports the
+// lost conn to the reconnect state machine.
 func (n *Node) readLoop(conn net.Conn, p *peerConn) {
 	defer func() {
 		_ = conn.Close()
@@ -855,10 +855,8 @@ func (n *Node) readLoop(conn net.Conn, p *peerConn) {
 			n.corruptStreams.Add(1)
 			return // corrupt stream
 		}
-		payload := serialize.GetBuf(int(frameLen - 4))
-		payload = payload[:frameLen-4]
+		payload := make([]byte, frameLen-4)
 		if _, err := io.ReadFull(conn, payload); err != nil {
-			serialize.FreeBuf(payload)
 			return
 		}
 		// Verify the CRC32C trailer over header+body before anything is
@@ -867,13 +865,11 @@ func (n *Node) readLoop(conn net.Conn, p *peerConn) {
 		covered := payload[:len(payload)-crcLen]
 		want := binary.BigEndian.Uint32(payload[len(payload)-crcLen:])
 		if crc32.Checksum(covered, castagnoliTable) != want {
-			serialize.FreeBuf(payload)
 			n.corruptFrames.Add(1)
 			return
 		}
 		var wh wireHeader
 		if err := gob.NewDecoder(&sliceReader{b: payload[:hdrLen]}).Decode(&wh); err != nil {
-			serialize.FreeBuf(payload)
 			n.corruptStreams.Add(1)
 			return
 		}
@@ -897,13 +893,12 @@ func (n *Node) readLoop(conn net.Conn, p *peerConn) {
 		b := n.broker
 		n.mu.Unlock()
 		if b != nil {
-			// InjectRemote owns nothing: it copies the body before returning,
-			// so the pooled payload can be freed right after.
+			// InjectRemote takes ownership of body: this loop never touches
+			// the payload buffer again.
 			_ = b.InjectRemote(h, body)
 		} else {
 			n.droppedInject.Add(1)
 		}
-		serialize.FreeBuf(payload)
 		if p == nil {
 			// Replenish the sender's credit window for the full wire size of
 			// this frame (prefix + payload). Only the accepted side acks:

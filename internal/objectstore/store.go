@@ -5,8 +5,19 @@
 // travelling through the header and ID queues; receivers fetch bodies by ID
 // without copies (Get returns the stored slice). Reference counting lets the
 // router pin a body once per destination so that a broadcast (e.g. updated
-// DNN parameters to N explorers) is freed exactly after the last receiver
-// has copied it out.
+// DNN parameters to N explorers) leaves the store exactly after the last
+// receiver has released it.
+//
+// # Body immutability
+//
+// Put adopts the slice it is given: the store keeps it without copying, and
+// from that call on nobody — the store, the caller, or any reader — writes
+// to those bytes again. Release only drops the store's bookkeeping; it never
+// reuses or clears a body. A slice obtained from Get (and any sub-slice of
+// it, such as a decoded frame view) may therefore outlive the Release of
+// its reference: the garbage collector keeps the bytes alive while such a
+// view is reachable. The byte budget counts bodies only while they are
+// live in the store, not while views of them survive elsewhere.
 //
 // # Sharding
 //
@@ -47,14 +58,16 @@
 // # The Get / final-Release race rule
 //
 // Get returns the stored slice without copying and without touching the
-// reference count. The returned bytes are only valid while the caller holds
-// a reference of its own: calling Get on an ID whose references are all
+// reference count. Get may only be called while the caller holds a
+// reference of its own: calling Get on an ID whose references are all
 // owned by other goroutines races with the final Release of that object
 // (the lookup may fail, or the slice may be read while another goroutine
-// frees the object's accounting). Every holder in the channel observes the
-// rule implicitly — a stage calls Get only on headers it popped, and the
-// popped header carries the stage's own reference. Pin first if you need
-// bytes to outlive your current reference.
+// frees the object's accounting). Once Get has returned, the bytes stay
+// valid after the reference is released (see Body immutability). Every
+// holder in the channel observes the rule implicitly — a stage calls Get
+// only on headers it popped, and the popped header carries the stage's own
+// reference. Pin first if you need the ID to stay resolvable past your
+// current reference.
 //
 // # Leak detection
 //
@@ -403,9 +416,10 @@ func (s *Store) enterPressure() {
 }
 
 // Get returns the object's bytes without copying. The returned slice is
-// shared: callers must treat it as read-only, must hold a reference of
-// their own while using it, and must not use it after that reference's
-// Release — see the Get / final-Release race rule in the package comment.
+// shared: callers must treat it as read-only and must hold a reference of
+// their own when they call Get — see the Get / final-Release race rule in
+// the package comment. The bytes remain valid after that reference's
+// Release (see Body immutability).
 func (s *Store) Get(id ID) ([]byte, error) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()

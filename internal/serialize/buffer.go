@@ -13,7 +13,9 @@
 // Hand-offs to a new owner are declared with `//lint:owns <reason>`. After
 // FreeBuf the buffer may be reused by any other goroutine: never retain or
 // read a slice that was freed. APIs that keep bytes beyond the call (e.g.
-// objectstore.Put) must be given their own copy, never a pooled buffer.
+// objectstore.Put, broker.InjectRemote) must be given their own buffer,
+// never a pooled one. A pooled buffer passed to Unmarshal must not be freed
+// while the decoded body is in use: rollout frames are views into it.
 package serialize
 
 import "sync"

@@ -262,7 +262,7 @@ func unmarshalWeightsDelta(data []byte) (*message.WeightsDeltaPayload, error) {
 	var block []byte
 	if flags&deltaFlagLZ4 != 0 {
 		rawLen := int(r.u32())
-		comp := r.bytes()
+		comp := r.view()
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -274,7 +274,7 @@ func unmarshalWeightsDelta(data []byte) (*message.WeightsDeltaPayload, error) {
 			return nil, fmt.Errorf("delta block: %w", err)
 		}
 	} else {
-		block = r.bytes()
+		block = r.view()
 		if r.err != nil {
 			return nil, r.err
 		}

@@ -78,13 +78,12 @@ func MarshalPooled(body any) ([]byte, error) {
 	return out, nil
 }
 
-// SizeHint estimates body's encoded size (an upper bound for fixed-layout
-// payloads, the documented estimate for rollouts) so marshal buffers start
-// close to their final capacity.
+// SizeHint returns an upper bound on body's encoded size (exact for
+// rollouts), so a buffer of that capacity never regrows during the marshal.
 func SizeHint(body any) int {
 	switch b := body.(type) {
 	case *rollout.Batch:
-		return 64 + b.SizeBytes()
+		return rolloutSize(b)
 	case *message.WeightsPayload:
 		return 16 + 4*len(b.Data)
 	case *message.WeightsDeltaPayload:
@@ -114,6 +113,13 @@ func SizeHint(body any) int {
 }
 
 // Unmarshal decodes bytes produced by Marshal back into a typed body.
+//
+// A decoded rollout's observation frames (Obs.Frame) are views into data,
+// capped at their own length, not copies: the caller must not mutate data,
+// or hand it back with FreeBuf, while the decoded body is in use. A store
+// body satisfies this for free — it is immutable after Put, and the views
+// keep it alive past Release. Strings, float vectors and DummyPayload data
+// are copied out.
 func Unmarshal(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("empty payload: %w", ErrBadPayload)
@@ -215,18 +221,21 @@ func (r *reader) byte() byte {
 	return b
 }
 
-func (r *reader) bytes() []byte {
+// view returns the next length-prefixed byte field as a slice of the
+// payload itself, with its capacity capped at its length so an append by the
+// consumer reallocates instead of overwriting the bytes that follow.
+func (r *reader) view() []byte {
 	n := int(r.u32())
 	if r.err != nil || n < 0 || r.pos+n > len(r.data) {
 		r.fail()
 		return nil
 	}
-	out := append([]byte(nil), r.data[r.pos:r.pos+n]...)
+	out := r.data[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
 	return out
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+func (r *reader) str() string { return string(r.view()) }
 
 func (r *reader) f32s() []float32 {
 	n := int(r.u32())
@@ -245,9 +254,11 @@ func (r *reader) f32s() []float32 {
 	return out
 }
 
-func (r *reader) fail() {
+func (r *reader) fail() { r.failf("truncated payload") }
+
+func (r *reader) failf(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("truncated payload at offset %d: %w", r.pos, ErrBadPayload)
+		r.err = fmt.Errorf("%s at offset %d: %w", fmt.Sprintf(format, args...), r.pos, ErrBadPayload)
 	}
 }
 
@@ -259,6 +270,18 @@ const (
 	obsFrame byte = 2
 	obsBoth  byte = 3
 )
+
+// obsSize is the exact encoded size of o as written by putObs.
+func obsSize(o env.Obs) int {
+	n := 1
+	if o.Frame != nil {
+		n += 16 + len(o.Frame)
+	}
+	if o.Vec != nil {
+		n += 4 + 4*len(o.Vec)
+	}
+	return n
+}
 
 func putObs(dst []byte, o env.Obs) []byte {
 	switch {
@@ -285,30 +308,57 @@ func putObs(dst []byte, o env.Obs) []byte {
 }
 
 func (r *reader) obs() env.Obs {
-	switch r.byte() {
-	case obsBoth:
-		o := env.Obs{}
-		o.FrameH = int(r.u32())
-		o.FrameW = int(r.u32())
-		o.FrameN = int(r.u32())
-		o.Frame = r.bytes()
-		o.Vec = r.f32s()
-		return o
-	case obsFrame:
-		o := env.Obs{}
-		o.FrameH = int(r.u32())
-		o.FrameW = int(r.u32())
-		o.FrameN = int(r.u32())
-		o.Frame = r.bytes()
-		return o
+	var o env.Obs
+	switch tag := r.byte(); tag {
+	case obsNone:
 	case obsVec:
-		return env.Obs{Vec: r.f32s()}
+		o.Vec = r.obsVec()
+	case obsFrame, obsBoth:
+		o.FrameH = int(r.u32())
+		o.FrameW = int(r.u32())
+		o.FrameN = int(r.u32())
+		o.Frame = r.view()
+		if tag == obsBoth {
+			o.Vec = r.obsVec()
+		}
 	default:
-		return env.Obs{}
+		r.failf("unknown observation tag %d", tag)
 	}
+	return o
+}
+
+// obsVec reads an observation vector. An empty one stays non-nil so the
+// observation re-encodes with the tag it arrived with.
+func (r *reader) obsVec() []float32 {
+	if v := r.f32s(); v != nil || r.err != nil {
+		return v
+	}
+	return []float32{}
 }
 
 // Rollout batch ----------------------------------------------------------------
+
+// rolloutHeaderSize is the tag, explorer ID, weights version and step count.
+const rolloutHeaderSize = 1 + 4 + 8 + 4
+
+// stepFieldsSize is a step's encoding minus its observation, action vector
+// and logits: action, action-vector length, reward, done, value, log-prob
+// and logits length.
+const stepFieldsSize = 4 + 4 + 4 + 1 + 4 + 4 + 4
+
+// minStepSize is the smallest encoded step (an empty observation is its tag
+// byte); it bounds how many steps a payload of a given length can declare.
+const minStepSize = 1 + stepFieldsSize
+
+// rolloutSize is the exact encoded size of b as written by appendRollout.
+func rolloutSize(b *rollout.Batch) int {
+	n := rolloutHeaderSize + obsSize(b.BootstrapObs)
+	for i := range b.Steps {
+		s := &b.Steps[i]
+		n += obsSize(s.Obs) + stepFieldsSize + 4*len(s.ActionVec) + 4*len(s.Logits)
+	}
+	return n
+}
 
 func appendRollout(out []byte, b *rollout.Batch) []byte {
 	out = append(out, tagRollout)
@@ -344,7 +394,7 @@ func unmarshalRollout(data []byte) (*rollout.Batch, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n < 0 || n > len(data) { // each step takes >1 byte; cheap sanity bound
+	if n < 0 || n > len(data)/minStepSize {
 		return nil, fmt.Errorf("rollout step count %d: %w", n, ErrBadPayload)
 	}
 	if n > 0 {
@@ -356,12 +406,20 @@ func unmarshalRollout(data []byte) (*rollout.Batch, error) {
 		s.Action = int32(r.u32())
 		s.ActionVec = r.f32s()
 		s.Reward = r.f32()
-		s.Done = r.byte() == 1
+		switch done := r.byte(); done {
+		case 0, 1:
+			s.Done = done == 1
+		default:
+			r.failf("done flag %d", done)
+		}
 		s.Value = r.f32()
 		s.LogProb = r.f32()
 		s.Logits = r.f32s()
 	}
 	b.BootstrapObs = r.obs()
+	if r.err == nil && r.pos != len(data) {
+		r.failf("%d trailing bytes", len(data)-r.pos)
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -533,23 +591,53 @@ const (
 	frameLZ4 byte = 1
 )
 
+// Frame marshals body straight into a framed object-store body: the raw
+// flag byte, then the encoding, in one buffer sized by SizeHint so it never
+// regrows. Bodies meeting the threshold are then LZ4-compressed exactly as
+// Pack would. The result equals Pack(Marshal(body)) byte for byte, without
+// the intermediate encoding or the copy between the two; the caller owns it.
+func (c Compressor) Frame(body any) ([]byte, bool, error) {
+	framed, err := MarshalAppend(append(make([]byte, 0, 1+SizeHint(body)), frameRaw), body)
+	if err != nil {
+		return nil, false, err
+	}
+	raw := framed[1:]
+	PlaneDelay(len(raw), c.PackNsPerKB)
+	if comp, ok := c.compress(raw); ok {
+		return comp, true, nil
+	}
+	return framed, false, nil
+}
+
 // Pack frames raw bytes for the object store, compressing when raw meets the
 // threshold and compression actually shrinks it. It returns the framed body
-// and whether compression was applied.
+// and whether compression was applied. The raw frame is a copy of raw; the
+// broker's send path uses Frame instead, which marshals in place.
 func (c Compressor) Pack(raw []byte) ([]byte, bool) {
 	PlaneDelay(len(raw), c.PackNsPerKB)
-	if c.Threshold > 0 && len(raw) >= c.Threshold {
-		comp := make([]byte, 0, lz4.CompressBound(len(raw))+9)
-		comp = append(comp, frameLZ4)
-		comp = binary.LittleEndian.AppendUint64(comp, uint64(len(raw)))
-		comp = lz4.Compress(comp, raw)
-		if len(comp) < len(raw)+9 {
-			return comp, true
-		}
+	if comp, ok := c.compress(raw); ok {
+		return comp, true
 	}
 	out := make([]byte, 0, len(raw)+1)
 	out = append(out, frameRaw)
 	return append(out, raw...), false
+}
+
+// compress returns the LZ4 frame of raw when raw meets the threshold and
+// LZ4 actually shrinks it (the frame is shorter than raw plus its 9-byte
+// flag-and-length prefix).
+func (c Compressor) compress(raw []byte) ([]byte, bool) {
+	if c.Threshold <= 0 || len(raw) < c.Threshold {
+		return nil, false
+	}
+	comp := make([]byte, 0, lz4.CompressBound(len(raw))+9)
+	comp = append(comp, frameLZ4)
+	comp = binary.LittleEndian.AppendUint64(comp, uint64(len(raw)))
+	comp = lz4.Compress(comp, raw)
+	if len(comp) < len(raw)+9 {
+		return comp, true
+	}
+	return nil, false
 }
 
 // Unpack reverses Pack on behalf of a compressor, charging the same

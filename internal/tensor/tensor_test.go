@@ -347,3 +347,35 @@ func BenchmarkMatMul128(b *testing.B) {
 		_ = MatMul(x, y)
 	}
 }
+
+// TestAxpyDotBitIdenticalToPlainLoops: the unrolled kernels must give the
+// exact bits of the straightforward loops for every length, tail included,
+// so training runs do not drift.
+func TestAxpyDotBitIdenticalToPlainLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 9; n++ {
+		x := make([]float32, n)
+		y := make([]float32, n)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+			y[i] = float32(rng.NormFloat64())
+		}
+		a := float32(rng.NormFloat64())
+
+		got := append([]float32(nil), y...)
+		axpy(got, x, a)
+		for i := range y {
+			if want := y[i] + a*x[i]; math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("n=%d: axpy[%d] = %v, want %v", n, i, got[i], want)
+			}
+		}
+
+		var want float32
+		for i := range x {
+			want += x[i] * y[i]
+		}
+		if got := dot(x, y); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("n=%d: dot = %v, want %v", n, got, want)
+		}
+	}
+}
